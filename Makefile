@@ -55,8 +55,8 @@ lint:
 bench:
 	$(PY) -m pytest benchmarks/bench_walk_engine.py -q -s
 
-## Train-step benchmark (asserts the >=3x fused-pipeline speedup and the
-## fused-vs-baseline loss-trajectory match).
+## Train-step benchmark (records the per-batch step time of the one train
+## path and asserts its loss curve matches the tier-1 golden pin).
 bench-train:
 	$(PY) -m pytest benchmarks/bench_train_step.py -q -s
 
@@ -77,9 +77,9 @@ bench-streaming:
 bench-scale:
 	$(PY) -m pytest benchmarks/bench_scale.py -q -s -m scale
 
-## Core-scaling benchmark: sharded walks and sync data-parallel training at
-## 1/2/4/8 workers over one shared-memory graph, plus the candidate_cap hub
-## delta and the sync bitwise-invariance assertion.  Writes
+## Core-scaling benchmark: sync data-parallel training at 2/4/8 workers
+## over one shared-memory graph, plus the candidate_cap hub delta and the
+## sync bitwise-invariance assertion.  Writes
 ## benchmarks/results/parallel.txt.  Excluded from tier-1 (scale marker).
 bench-parallel:
 	$(PY) -m pytest benchmarks/bench_parallel.py -q -s -m scale

@@ -1,17 +1,12 @@
-"""Core-scaling benchmark: sharded walks + sync training over shared memory.
+"""Core-scaling benchmark: sync data-parallel training over shared memory.
 
-Three measurements over one :class:`~repro.storage.SharedMemoryStorage`
-graph, written to ``benchmarks/results/parallel.txt``:
+Two measurements, written to ``benchmarks/results/parallel.txt``:
 
-1. **walk scaling** — ``ParallelWalkEngine.temporal_walk_batch`` throughput
-   at 1/2/4/8 workers (1 = inline, no pool), same seed everywhere; the
-   reassembled batches are asserted bitwise-identical across worker counts
-   before any timing is trusted.
-2. **train scaling** — sync data-parallel ``EHNA.fit`` steps/s at the same
-   worker ladder, with the ``num_workers=0`` inline run as the bitwise
+1. **train scaling** — sync data-parallel ``EHNA.fit`` steps/s at 2/4/8
+   workers, with the ``num_workers=0`` inline run as the bitwise
    comparator for the pooled loss trajectories.
-3. **candidate_cap delta** — uncapped vs windowed ``_temporal_raw`` gather
-   on a hub-heavy graph (the satellite optimization this PR ships).
+2. **candidate_cap delta** — uncapped vs windowed ``_temporal_raw`` gather
+   on a hub-heavy graph.
 
 The report states ``os.cpu_count()`` next to the curve: on a single-core
 container the pooled runs measure dispatch overhead, not speedup — the
@@ -31,20 +26,18 @@ import pytest
 
 from repro.core import EHNA
 from repro.graph.temporal_graph import TemporalGraph
-from repro.parallel import ParallelWalkEngine
 from repro.walks.engine import BatchedWalkEngine
 
 pytestmark = [pytest.mark.scale, pytest.mark.parallel]
 
-WORKER_LADDER = (1, 2, 4, 8)
+WORKER_LADDER = (2, 4, 8)
 
-# Walk workload: a mid-size graph with a few hub nodes.
+# Hub-gather workload: a mid-size graph with a few hub nodes.
 WALK_NODES = 3_000
 WALK_EVENTS = 40_000
 WALK_STARTS = 4_096
 NUM_WALKS = 2
 WALK_LENGTH = 8
-SHARD_SIZE = 256
 
 # Training workload: small enough that 8 pooled fits stay tractable on one
 # core, large enough that a step does real aggregator work.
@@ -76,49 +69,14 @@ def make_graph(num_nodes: int, num_events: int, hub_fraction: float = 0.3, seed:
 def test_core_scaling_curve(save_result):
     cores = os.cpu_count() or 1
     lines = [
-        "Parallel benchmark: sharded walks + sync data-parallel training",
+        "Parallel benchmark: sync data-parallel training",
         f"machine: os.cpu_count()={cores} — pooled speedups are bounded by "
         f"physical cores; on {cores} core(s) the ladder below measures "
         + ("real parallelism" if cores >= 2 else "dispatch overhead only"),
         "",
     ]
 
-    # -- 1. walk scaling (+ bitwise invariance gate) -------------------
-    graph = make_graph(WALK_NODES, WALK_EVENTS)
-    shared = graph.to_shared()
-    rng = np.random.default_rng(1)
-    starts = rng.integers(0, WALK_NODES, size=WALK_STARTS)
-    anchors = np.full(WALK_STARTS, float(graph.time.max()) + 1.0)
-    total_walks = WALK_STARTS * NUM_WALKS
-
-    lines.append(
-        f"walk scaling: {total_walks:,} temporal walks of length "
-        f"{WALK_LENGTH} over {graph.num_edges:,} shared-memory events"
-    )
-    lines.append(f"{'workers':>8} {'time':>10} {'walks/s':>12} {'vs 1w':>7}")
-    reference_batch = None
-    base_walk_s = None
-    for workers in WORKER_LADDER:
-        with ParallelWalkEngine(shared, num_workers=workers, shard_size=SHARD_SIZE) as engine:
-            t0 = _time.perf_counter()
-            batch = engine.temporal_walk_batch(
-                starts, anchors, NUM_WALKS, WALK_LENGTH, seed=11
-            )
-            elapsed = _time.perf_counter() - t0
-        if reference_batch is None:
-            reference_batch = batch
-            base_walk_s = elapsed
-        else:
-            # The determinism contract: worker count never changes the draws.
-            np.testing.assert_array_equal(batch.ids, reference_batch.ids)
-            np.testing.assert_array_equal(batch.valid, reference_batch.valid)
-        lines.append(
-            f"{workers:>8} {elapsed * 1e3:>8.0f}ms {total_walks / elapsed:>12.0f} "
-            f"{base_walk_s / elapsed:>6.2f}x"
-        )
-    lines.append("")
-
-    # -- 2. sync training scaling (+ trajectory invariance gate) -------
+    # -- 1. sync training scaling (+ trajectory invariance gate) -------
     train_graph = make_graph(200, 2_000, seed=3)
     inline = EHNA(seed=7, num_workers=0, **TRAIN_CFG)
     t0 = _time.perf_counter()
@@ -135,7 +93,7 @@ def test_core_scaling_curve(save_result):
         f"{'inline':>8} {inline_s * 1e3:>8.0f}ms {steps / inline_s:>12.2f} "
         f"{'1.00x':>10}"
     )
-    for workers in WORKER_LADDER[1:]:
+    for workers in WORKER_LADDER:
         model = EHNA(seed=7, num_workers=workers, **TRAIN_CFG)
         t0 = _time.perf_counter()
         model.fit(train_graph)
@@ -150,7 +108,10 @@ def test_core_scaling_curve(save_result):
     lines.append("pooled trajectories bitwise-equal to inline: yes (asserted)")
     lines.append("")
 
-    # -- 3. candidate_cap hub-gather delta -----------------------------
+    # -- 2. candidate_cap hub-gather delta -----------------------------
+    graph = make_graph(WALK_NODES, WALK_EVENTS)
+    anchors = np.full(WALK_STARTS, float(graph.time.max()) + 1.0)
+    total_walks = WALK_STARTS * NUM_WALKS
     hub_rng = np.random.default_rng(5)
     hub_starts = hub_rng.integers(0, 8, size=WALK_STARTS)  # all walks at hubs
     uncapped = BatchedWalkEngine(graph)
@@ -175,5 +136,4 @@ def test_core_scaling_curve(save_result):
         "engine's sampling note)"
     )
 
-    shared.storage.close()
     save_result("parallel", "\n".join(lines))

@@ -1,28 +1,23 @@
-"""Train-step benchmark: the fused aggregation pipeline vs the pre-PR step.
+"""Train-step benchmark: per-batch time of the EHNA training pipeline.
 
 Times full ``EHNA.fit()`` runs on a Table-1 synthetic graph (the DBLP
-stand-in family, laptop scale) and reports per-batch step times for
+stand-in family, laptop scale) and reports the per-batch step time of the
+one train path: one grouped aggregation per batch over an array-native
+:class:`WalkBatch` and the single-node BPTT LSTM kernel.  Throughput is
+gated end to end by ``train.edges_per_s`` in the repository benchmark
+(``perfbench``); this bench only records the table.
 
-- ``baseline``: the pre-fusion pipeline — three grouped aggregations per
-  batch (positives, x-negatives, y-negatives), ``Walk``-object batching
-  through ``batch_walks`` and the stepwise per-timestep LSTM graph
-  (``one_pass=False, fused_kernels=False``);
-- ``fused``: the default pipeline — one grouped aggregation per batch over
-  an array-native :class:`WalkBatch` and the single-node BPTT LSTM kernel;
-- ``fused+dedup``: additionally collapsing repeated ``(node, anchor)``
-  aggregations inside each batch (``dedup_aggregations=True``).
-
-The fused pipeline is required to be at least 3x faster per batch, and —
-because the kernel swap is numerically equivalent while the one-pass
-grouping only re-buckets batch-norm statistics — the fused loss trajectory
-must track the baseline's within a few percent.
+The loss curve is pinned against the tier-1 golden fit
+(``tests/core/golden_fit.json``) and written next to the timing table.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_train_step.py -q -s
 """
 
 from __future__ import annotations
 
+import json
 import timeit
+from pathlib import Path
 
 import numpy as np
 
@@ -30,89 +25,42 @@ from repro.core import EHNA
 from repro.datasets import temporal_sbm
 
 # Laptop-scale training config (the test-suite regime, where per-batch
-# Python overhead — not BLAS throughput — dominates the stepwise path).
+# Python overhead matters as much as BLAS throughput).
 CONFIG = dict(
     dim=16, epochs=1, batch_size=16, num_walks=4, walk_length=6, num_negatives=3
 )
 REPEATS = 3
 
-MIN_SPEEDUP = 3.0
-LOSS_RTOL = 0.15  # fused vs baseline mean epoch loss (statistical, see above)
+GOLDEN = Path(__file__).parent.parent / "tests" / "core" / "golden_fit.json"
 
 
-def _graph():
-    return temporal_sbm(num_nodes=60, num_edges=400, seed=3)
-
-
-def _best_fit_time(graph, **overrides) -> float:
-    def run():
-        EHNA(seed=0, **CONFIG, **overrides).fit(graph)
-
-    return min(timeit.repeat(run, number=1, repeat=REPEATS))
-
-
-def _table(rows, num_batches) -> str:
-    lines = [
-        "Train-step throughput (temporal_sbm 60 nodes / 400 events, "
-        f"{CONFIG['epochs']} epoch x {num_batches} batches)",
-        f"{'pipeline':<14} {'fit()':>10} {'per batch':>11} {'speedup':>9}",
-    ]
-    base = rows[0][1]
-    for name, total in rows:
-        lines.append(
-            f"{name:<14} {total:>9.2f}s {total / num_batches * 1e3:>9.1f}ms "
-            f"{base / total:>8.2f}x"
-        )
-    return "\n".join(lines)
-
-
-def test_train_step_speedup(save_result):
-    graph = _graph()
+def test_train_step_time(save_result):
+    graph = temporal_sbm(num_nodes=60, num_edges=400, seed=3)
     num_batches = -(-graph.num_edges // CONFIG["batch_size"]) * CONFIG["epochs"]
 
-    t_base = _best_fit_time(graph, one_pass=False, fused_kernels=False)
-    t_fused = _best_fit_time(graph)
-    t_dedup = _best_fit_time(graph, dedup_aggregations=True)
+    def run():
+        EHNA(seed=0, **CONFIG).fit(graph)
 
-    rows = [
-        ("baseline", t_base),
-        ("fused", t_fused),
-        ("fused+dedup", t_dedup),
-    ]
-    save_result("bench_train_step", _table(rows, num_batches))
-
-    assert t_base / t_fused >= MIN_SPEEDUP, (
-        f"fused pipeline is only {t_base / t_fused:.2f}x faster "
-        f"(required >= {MIN_SPEEDUP}x)"
+    total = min(timeit.repeat(run, number=1, repeat=REPEATS))
+    save_result(
+        "bench_train_step",
+        "\n".join([
+            "Train-step time (temporal_sbm 60 nodes / 400 events, "
+            f"{CONFIG['epochs']} epoch x {num_batches} batches, best of {REPEATS})",
+            f"{'fit()':>10} {'per batch':>11}",
+            f"{total:>9.2f}s {total / num_batches * 1e3:>9.1f}ms",
+        ]),
     )
 
 
-def test_fused_loss_curve_tracks_baseline(save_result):
-    """Equal loss trajectory: exact for the kernel swap, statistical for the
-    one-pass regrouping."""
-    graph = _graph()
-    epochs = 3
-
-    # The kernel swap alone is numerically equivalent — same seed, same
-    # losses to float noise.
-    fused = EHNA(seed=0, **{**CONFIG, "epochs": epochs}).fit(graph)
-    kernel_ref = EHNA(
-        seed=0, fused_kernels=False, **{**CONFIG, "epochs": epochs}
-    ).fit(graph)
-    np.testing.assert_allclose(
-        fused.loss_history, kernel_ref.loss_history, rtol=1e-6
-    )
-
-    # The full pre-PR baseline differs only statistically (per-call BN
-    # batches, RNG consumption order).
-    baseline = EHNA(
-        seed=0, one_pass=False, fused_kernels=False, **{**CONFIG, "epochs": epochs}
-    ).fit(graph)
-    lf, lb = np.array(fused.loss_history), np.array(baseline.loss_history)
-    rel = np.abs(lf - lb) / np.abs(lb)
-    lines = ["Fused vs baseline loss trajectory (per epoch)",
-             f"{'epoch':<7} {'fused':>10} {'baseline':>10} {'rel diff':>9}"]
-    for e, (a, b, r) in enumerate(zip(lf, lb, rel)):
-        lines.append(f"{e:<7} {a:>10.4f} {b:>10.4f} {r:>8.1%}")
+def test_loss_curve_matches_golden_pin(save_result):
+    golden = json.loads(GOLDEN.read_text())
+    graph = temporal_sbm(**golden["graph"])
+    expected = golden["variants"]["default"]["loss_history"]
+    model = EHNA(seed=golden["seed"]).fit(graph)
+    lines = ["Default-config loss trajectory vs the golden pin (per epoch)",
+             f"{'epoch':<7} {'observed':>12} {'golden':>12}"]
+    for e, (a, b) in enumerate(zip(model.loss_history, expected)):
+        lines.append(f"{e:<7} {a:>12.6f} {b:>12.6f}")
     save_result("bench_train_step_loss", "\n".join(lines))
-    assert np.all(rel < LOSS_RTOL), f"loss curves diverged: {rel}"
+    np.testing.assert_allclose(model.loss_history, expected, rtol=1e-10, atol=0)

@@ -3,12 +3,9 @@
 Run:  python examples/parallel_training.py
 """
 
-import numpy as np
-
 from repro.baselines import Node2Vec
 from repro.core import EHNA
 from repro.datasets import load
-from repro.parallel import ParallelWalkEngine
 
 
 def main() -> None:
@@ -19,21 +16,13 @@ def main() -> None:
     graph = load("digg", scale=0.2, seed=7, shared=True)
     print(f"backend={graph.storage_backend} segment={graph.shared_handle.name}")
 
-    # Sharded walk generation.  The shard layout — never the worker count —
-    # is the sampling scheme: shard i draws from SeedSequence((seed, i)), so
-    # the reassembled batch is bitwise-identical at any pool size
-    # (num_workers=0 runs the same shards inline, the comparator the tests
-    # pin against).
-    starts = np.arange(graph.num_nodes)
-    anchors = np.full(starts.size, graph.time_span[1] + 1.0)
-    with ParallelWalkEngine(graph, num_workers=2) as engine:
-        batch = engine.temporal_walk_batch(starts, anchors, 2, 8, seed=0)
-    print(f"walk batch: ids{batch.ids.shape}, bitwise worker-count-invariant")
-
     # Sync data-parallel EHNA: workers attach the shared graph, train their
     # shards against a broadcast snapshot of the flat parameter vector, and
     # the parent averages gradients into one Adam step — deterministic end
-    # to end.
+    # to end.  The shard layout — never the worker count — is the sampling
+    # scheme: shard i draws from SeedSequence((step_seed, i)), so any pool
+    # size (num_workers=0 runs the same shards inline, the comparator the
+    # tests pin against) gives bitwise-identical results.
     model = EHNA(dim=16, epochs=2, num_workers=2, parallel_shards=8, seed=0)
     model.fit(graph)
     print(f"EHNA sync x2 workers: final loss {model.loss_history[-1]:.4f}")

@@ -17,12 +17,12 @@ state through unchanged.  With ``two_level=False`` (the EHNA-SL ablation) the
 caller merges each target's walks into one long sequence and step 3 is
 skipped — ``h`` itself becomes the neighborhood summary.
 
-:func:`batch_walks` is the *reference* ``Walk``-list padding path; the
-training fast path receives :class:`~repro.walks.base.WalkBatch` arrays
+:func:`batch_walks` pads ``Walk`` lists — the walk-cache path and the test
+oracle; everything else receives :class:`~repro.walks.base.WalkBatch` arrays
 directly from the walk engine (``temporal_walk_batch``), bitwise-equal for
-the same walks.  Likewise the aggregator's LSTMs default to the fused
-single-node BPTT kernel (``fused=True``) with the stepwise graph kept as the
-gradcheck-verified reference.
+the same walks.  Both LSTMs run the fused single-node BPTT kernel
+(``StackedLSTM.fused``); the stepwise ``StackedLSTM.__call__`` graph stays
+as the gradcheck-verified test oracle.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def batch_walks(
     ``real_dtype`` is the precision policy's floating dtype for the emitted
     ``valid``/``time_sums`` arrays; time-sum accumulation itself always runs
     in ``float64`` (matching the engine fast path) and only the final arrays
-    narrow.  This reference path keeps ``int64`` ids — it exists for
+    narrow.  This path keeps ``int64`` ids — it serves walk-cache hits and
     correctness comparisons, not memory.
     """
     if not walk_sets:
@@ -116,11 +116,8 @@ class TwoLevelAggregator(Module):
     distance between the target embedding ``e_x`` and walk representations
     ``h_r``, which forces the two spaces to share a dimension.
 
-    ``fused=True`` (the default) runs both LSTMs through the single-node
-    fused BPTT kernel (:func:`repro.nn.layers.fused_stacked_lstm`); the
-    stepwise per-timestep graph remains available as the gradcheck-verified
-    reference (``fused=False``).  The two paths are numerically equivalent —
-    same parameters, same outputs, same gradients.
+    Both LSTMs run through the single-node fused BPTT kernel
+    (:func:`repro.nn.layers.fused_stacked_lstm`).
     """
 
     def __init__(
@@ -129,14 +126,12 @@ class TwoLevelAggregator(Module):
         lstm_layers: int = 2,
         two_level: bool = True,
         rng=None,
-        fused: bool = True,
         dtype=np.float64,
     ):
         super().__init__()
         rng = ensure_rng(rng)
         self.dim = dim
         self.two_level = two_level
-        self.fused = bool(fused)
         self.dtype = np.dtype(dtype)
         self.node_lstm = StackedLSTM(dim, dim, lstm_layers, rng, dtype=dtype)
         self.node_bn = BatchNorm1d(dim, dtype=dtype)
@@ -184,11 +179,7 @@ class TwoLevelAggregator(Module):
         else:
             weighted = walk_embs * Tensor(batch.valid.reshape((n_walks, max_len, 1)))
 
-        if self.fused:
-            h = self.node_lstm.fused(weighted, mask=batch.valid)
-        else:
-            steps = [weighted[:, t, :] for t in range(max_len)]
-            _, h = self.node_lstm(steps, mask=batch.valid.T)
+        h = self.node_lstm.fused(weighted, mask=batch.valid)
         h = self.node_bn(h).relu()  # (W, dim) — the h_r of line 4
 
         # -- walk level (lines 5-6) -------------------------------------
@@ -203,12 +194,7 @@ class TwoLevelAggregator(Module):
                 )
             else:
                 h_w = h.reshape((n_targets, k, self.dim))
-            if self.fused:
-                summary = self.walk_lstm.fused(h_w)
-            else:
-                walk_steps = [h_w[:, i, :] for i in range(k)]
-                _, summary = self.walk_lstm(walk_steps)
-            summary = self.walk_bn(summary)  # the H of line 6
+            summary = self.walk_bn(self.walk_lstm.fused(h_w))  # the H of line 6
         else:
             if k != 1:
                 raise ValueError("single-level aggregation expects merged walks (k=1)")

@@ -59,35 +59,13 @@ class EHNAConfig:
     # disables caching and resamples fresh walks for every target, the
     # paper's behavior.  With a positive size, repeated fit() epochs (which
     # replay the same (node, t) targets) and the uniform fallback sampler
-    # reuse cached neighborhoods instead of resampling.
+    # reuse cached neighborhoods instead of resampling.  Cache keys carry the
+    # exact anchor timestamp, so reuse never mixes neighborhoods across
+    # anchors.
     walk_cache_size: int = 0
-    # Resolution of the cache key's time component: 0 keys on exact anchor
-    # timestamps (reuse never mixes neighborhoods across anchors), k > 0
-    # quantizes anchors into k buckets on the [0, 1] scale for more hits at
-    # the cost of temporal fidelity.
-    walk_time_buckets: int = 0
     # Loss geometry: "euclidean" (the paper's metric-space argument) or
     # "dot" (the word2vec-style similarity it argues against; ablation).
     objective: str = "euclidean"
-    # Fused aggregation kernels: array-native WalkBatch construction in the
-    # walk engine plus the single-node BPTT LSTM.  Numerically equivalent to
-    # the reference path (Walk objects + batch_walks + stepwise StackedLSTM),
-    # which False selects for ablations and the training-math smoke gate.
-    fused_kernels: bool = True
-    # One grouped aggregation per training batch (positives + every negative
-    # group in a single walk-engine call / padding / LSTM launch / backward).
-    # False restores the pre-fusion three-call step — the benchmark baseline.
-    # Unlike fused_kernels this switch changes the loss trajectory slightly:
-    # batch-norm statistics are computed per aggregator call, and negatives
-    # are drawn from the shared RNG stream before (not after) the positive
-    # walks, so the two paths sample different negatives/walks.
-    one_pass: bool = True
-    # Collapse repeated (node, anchor) pairs inside a grouped aggregation to
-    # one walk set + one aggregation, scattered back to every occurrence.
-    # Saves work when negatives collide or both endpoints repeat in a batch,
-    # at the cost of those occurrences sharing one neighborhood sample
-    # (slightly lower gradient variance reduction); off by default.
-    dedup_aggregations: bool = False
     # Cap on a hub's per-hop candidate set in the temporal walk engine; 0
     # (default) keeps the exact behavior.  With cap > 0, each hop gathers
     # only a node's `candidate_cap` most recent historical events — O(cap)
@@ -142,7 +120,6 @@ class EHNAConfig:
         check_positive("time_eps", self.time_eps)
         check_non_negative("negative_power", self.negative_power)
         check_non_negative("walk_cache_size", self.walk_cache_size)
-        check_non_negative("walk_time_buckets", self.walk_time_buckets)
         if self.objective not in ("euclidean", "dot"):
             raise ValueError(
                 f"objective must be 'euclidean' or 'dot', got {self.objective!r}"

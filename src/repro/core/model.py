@@ -101,7 +101,6 @@ class EHNA(EmbeddingMethod):
             q=cfg.q,
             decay=cfg.decay,
             cache_size=cfg.walk_cache_size,
-            time_buckets=cfg.walk_time_buckets,
             real_dtype=self._precision.real,
             candidate_cap=cfg.candidate_cap,
         )
@@ -120,12 +119,7 @@ class EHNA(EmbeddingMethod):
             graph.num_nodes, cfg.dim, rng, dtype=self._precision.real
         )
         self.aggregator = TwoLevelAggregator(
-            cfg.dim,
-            cfg.lstm_layers,
-            cfg.two_level,
-            rng,
-            fused=cfg.fused_kernels,
-            dtype=self._precision.real,
+            cfg.dim, cfg.lstm_layers, cfg.two_level, rng, dtype=self._precision.real
         )
         self._build_sampling(graph)
 
@@ -208,62 +202,26 @@ class EHNA(EmbeddingMethod):
         entries mean the same.  Returns a ``(len(nodes), dim)`` tensor whose
         rows line up with ``nodes``.
 
-        With ``dedup_aggregations`` enabled, repeated ``(node, anchor)``
-        pairs are aggregated once and scattered back to every occurrence
-        (the getitem backward accumulates their gradients), trading
-        per-occurrence neighborhood resampling for less work.
-
         ``rng`` defaults to the training stream; inference paths pass their
         own generator so serving queries never perturb training
         reproducibility — and those calls also bypass the walk cache, so
         answers never depend on (or change) training-cache warmth.
+
+        Walk generation is batched: one lockstep engine call samples the
+        temporal walks of every eligible node, and a second covers the
+        uniform fallback/ablation walks.  The engine emits padded
+        :class:`WalkBatch` arrays directly (no ``Walk`` objects, no Python
+        re-padding) — except when the LRU walk cache is in play, which stores
+        ``Walk`` sets and therefore pads them through ``batch_walks``.  Both
+        paths consume the RNG stream identically and feed the aggregator
+        bitwise-identical arrays.
         """
+        cfg = self.config
         use_cache = rng is None  # explicit rng == inference: no cache
         rng = self._rng if rng is None else rng
         nodes = np.asarray(nodes, dtype=np.int64)
         anchors = _anchor_array(times, nodes.size)
-
-        if self.config.dedup_aggregations and nodes.size > 1:
-            # Key on (node, anchor bit pattern); canonicalize NaN so every
-            # "no anchor" entry collapses to one key.
-            canon = anchors.copy()
-            canon[np.isnan(canon)] = np.nan
-            keys = np.empty(nodes.size, dtype=[("v", np.int64), ("t", np.int64)])
-            keys["v"] = nodes
-            keys["t"] = canon.view(np.int64)
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            if uniq.size < nodes.size:
-                z = self._routed_aggregate(
-                    uniq["v"].copy(),
-                    uniq["t"].copy().view(np.float64),
-                    include_context,
-                    rng,
-                    use_cache,
-                )
-                return z[inverse]
-        return self._routed_aggregate(nodes, anchors, include_context, rng, use_cache)
-
-    def _routed_aggregate(
-        self,
-        nodes: np.ndarray,
-        anchors: np.ndarray,
-        include_context: bool,
-        rng,
-        use_cache: bool,
-    ):
-        """Route ``nodes`` between the temporal and fallback pipelines.
-
-        Walk generation is batched: one lockstep engine call samples the
-        temporal walks of every eligible node, and a second covers the
-        uniform fallback/ablation walks.  With ``fused_kernels`` the engine
-        emits padded :class:`WalkBatch` arrays directly (no ``Walk`` objects,
-        no Python re-padding) — except when the LRU walk cache is in play,
-        which stores ``Walk`` sets and therefore keeps the reference path.
-        Both paths consume the RNG stream identically and feed the aggregator
-        bitwise-identical arrays.
-        """
-        cfg = self.config
-        fast = cfg.fused_kernels and not (use_cache and self.engine.cache is not None)
+        fast = not (use_cache and self.engine.cache is not None)
         eligible = (
             ~np.isnan(anchors)
             if self.temporal_walker is not None
@@ -359,35 +317,29 @@ class EHNA(EmbeddingMethod):
         inverse[order] = np.arange(order.size)
         return stacked[inverse]
 
-    def _train_batch(self, edge_ids: np.ndarray, optimizers: list[Adam]) -> float:
-        """One optimizer step on a batch of target edges.
+    def _batch_loss(self, edge_ids: np.ndarray, rng=None):
+        """The Eq. 7 margin loss of a batch of target edges (forward only).
 
-        ``one_pass=True`` (default) aggregates positives and every negative
-        group in a single grouped call — one walk-engine launch, one padding,
-        one LSTM kernel, one backward; ``one_pass=False`` keeps the
-        pre-fusion three-call step as the measured baseline.
+        Negatives per Eq. 6/7 are drawn up front so positives and every
+        negative group share one grouped aggregation — one walk-engine
+        launch, one padding, one LSTM kernel — all anchored at the edge times
+        (negatives are judged through the same historical-neighborhood
+        pipeline).  ``rng`` defaults to the training stream; the
+        data-parallel shard step passes its own substream.
         """
-        if self.config.one_pass:
-            return self._train_batch_one_pass(edge_ids, optimizers)
-        return self._train_batch_reference(edge_ids, optimizers)
-
-    def _train_batch_one_pass(
-        self, edge_ids: np.ndarray, optimizers: list[Adam]
-    ) -> float:
         cfg = self.config
         graph = self.graph
+        stream = self._rng if rng is None else rng
+        edge_ids = np.asarray(edge_ids, dtype=np.int64)
         xs = graph.src[edge_ids]
         ys = graph.dst[edge_ids]
         ts = graph.time[edge_ids]
         b = edge_ids.size
         q = cfg.num_negatives
 
-        # Negatives per Eq. 6/7 are drawn up front so positives + negatives
-        # share one aggregation, all anchored at the edge times (negatives
-        # are judged through the same historical-neighborhood pipeline).
-        neg_x = self.sampler.sample((b, q), self._rng, exclude_x=xs, exclude_y=ys)
+        neg_x = self.sampler.sample((b, q), stream, exclude_x=xs, exclude_y=ys)
         neg_y = (
-            self.sampler.sample((b, q), self._rng, exclude_x=xs, exclude_y=ys)
+            self.sampler.sample((b, q), stream, exclude_x=xs, exclude_y=ys)
             if cfg.bidirectional
             else None
         )
@@ -397,7 +349,11 @@ class EHNA(EmbeddingMethod):
         if neg_y is not None:
             targets.append(neg_y.ravel())
             anchor.append(neg_t)
-        z = self._grouped_aggregate(np.concatenate(targets), np.concatenate(anchor))
+        # Pass rng through unresolved: None is what keeps the walk cache in
+        # play for training (see _grouped_aggregate).
+        z = self._grouped_aggregate(
+            np.concatenate(targets), np.concatenate(anchor), rng=rng
+        )
 
         z_x, z_y = z[0:b], z[b : 2 * b]
         zn_x = z[2 * b : 2 * b + b * q].reshape((b, q, cfg.dim))
@@ -406,53 +362,13 @@ class EHNA(EmbeddingMethod):
             if neg_y is not None
             else None
         )
-        return self._optimize(z_x, z_y, zn_x, zn_y, optimizers)
-
-    def _train_batch_reference(
-        self, edge_ids: np.ndarray, optimizers: list[Adam]
-    ) -> float:
-        """The pre-fusion step: separate aggregations for positives and each
-        negative group (kept as the benchmark baseline and for ablations;
-        batch-norm statistics are per-call, so its loss trajectory differs
-        slightly from the one-pass step)."""
-        cfg = self.config
-        graph = self.graph
-        xs = graph.src[edge_ids]
-        ys = graph.dst[edge_ids]
-        ts = graph.time[edge_ids]
-        b = edge_ids.size
-
-        # Aggregated embeddings of both endpoints, anchored at the edge time.
-        targets = np.concatenate([xs, ys])
-        anchor = np.concatenate([ts, ts])
-        z = self._grouped_aggregate(targets, anchor)
-        z_x, z_y = z[0:b], z[b : 2 * b]
-
-        neg_x = self.sampler.sample(
-            (b, cfg.num_negatives), self._rng, exclude_x=xs, exclude_y=ys
-        )
-        neg_t = np.repeat(ts, cfg.num_negatives)
-        zn_x = self._grouped_aggregate(neg_x.ravel(), neg_t).reshape(
-            (b, cfg.num_negatives, cfg.dim)
-        )
-        zn_y = None
-        if cfg.bidirectional:
-            neg_y = self.sampler.sample(
-                (b, cfg.num_negatives), self._rng, exclude_x=xs, exclude_y=ys
-            )
-            zn_y = self._grouped_aggregate(neg_y.ravel(), neg_t).reshape(
-                (b, cfg.num_negatives, cfg.dim)
-            )
-        return self._optimize(z_x, z_y, zn_x, zn_y, optimizers)
-
-    def _optimize(self, z_x, z_y, zn_x, zn_y, optimizers: list[Adam]) -> float:
-        """Shared tail of both train-step variants: Eq. 5-7 loss, backward,
-        one optimizer step.  Keeping it in one place means the ``one_pass``
-        baseline can never silently diverge from the fused step's objective."""
-        cfg = self.config
-        loss = margin_hinge_loss(
+        return margin_hinge_loss(
             z_x, z_y, zn_x, cfg.margin, neg_y=zn_y, metric=cfg.objective
         )
+
+    def _train_batch(self, edge_ids: np.ndarray, optimizers: list[Adam]) -> float:
+        """One optimizer step on a batch of target edges."""
+        loss = self._batch_loss(edge_ids)
         for opt in optimizers:
             opt.zero_grad()
         loss.backward()
@@ -595,6 +511,21 @@ class EHNA(EmbeddingMethod):
 
     @classmethod
     def _from_config(cls, config: dict) -> "EHNA":
+        """Rebuild from a checkpoint's config dict.
+
+        Archives written before a config key was retired still carry it;
+        such a key loads only at the value the surviving code implements.
+        """
+        config = dict(config)
+        for key, kept in _RETIRED_CONFIG_KEYS.items():
+            if key in config and config.pop(key) != kept:
+                raise CheckpointError(
+                    f"checkpoint config sets retired key {key!r} to a value "
+                    f"other than {kept!r}; that training path no longer exists"
+                )
+        unknown = sorted(set(config) - {f.name for f in dataclasses.fields(EHNAConfig)})
+        if unknown:
+            raise CheckpointError(f"checkpoint config has unknown key(s) {unknown}")
         return cls(config=EHNAConfig(**config))
 
     def _named_parameters(self) -> list:
@@ -652,6 +583,16 @@ class EHNA(EmbeddingMethod):
         self._final = np.asarray(arrays["final"], dtype=self._precision.real)
         self.loss_history = [float(x) for x in meta.get("loss_history", [])]
         self._infer_seed = int(meta["infer_seed"])
+
+
+#: Retired ``EHNAConfig`` fields and the value the surviving train path
+#: implements — the only value an older checkpoint may carry for them.
+_RETIRED_CONFIG_KEYS = {
+    "one_pass": True,
+    "fused_kernels": True,
+    "dedup_aggregations": False,
+    "walk_time_buckets": 0,
+}
 
 
 def _anchor_array(times, n: int) -> np.ndarray:

@@ -208,7 +208,8 @@ class StackedLSTM(Module):
     """Multi-layer LSTM — the paper's aggregator (2 layers by default).
 
     ``__call__`` is the stepwise *reference* implementation: one autograd
-    node per op per timestep per layer.  :meth:`fused` runs the same
+    node per op per timestep per layer, kept as the test oracle.
+    :meth:`fused` — what the EHNA aggregator runs — computes the same
     recurrence through :func:`fused_stacked_lstm` — a single autograd node
     with a hand-derived BPTT backward — and is gradcheck-verified against
     this reference in ``tests/nn/test_fused_lstm.py``.

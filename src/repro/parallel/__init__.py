@@ -3,10 +3,8 @@
 Workers attach the leader's :class:`~repro.storage.SharedMemoryStorage`
 segment zero-copy via a picklable handle; training state crosses the
 process boundary as (graph handle, flat parameter snapshot, RNG seed) — the
-isolation seam :mod:`repro.core.params` provides.  Three front doors:
+isolation seam :mod:`repro.core.params` provides.  Two front doors:
 
-- :class:`ParallelWalkEngine` — sharded walk generation, bitwise
-  worker-count-invariant (``repro.parallel.walks``).
 - ``fit_data_parallel`` — synchronous shard-averaged EHNA training, wired
   behind ``EHNAConfig.num_workers`` (``repro.parallel.trainer``).
 - ``hogwild_train_corpus`` — lock-free shared-table training for the
@@ -18,17 +16,14 @@ the sync-vs-hogwild tradeoffs.
 """
 
 from repro.parallel.hogwild import hogwild_train_corpus
-from repro.parallel.pool import shard_ranges, shard_rng, shard_seed_seq, spawn_pool
+from repro.parallel.pool import shard_rng, shard_seed_seq, spawn_pool
 from repro.parallel.state import SharedParams
 from repro.parallel.trainer import fit_data_parallel
-from repro.parallel.walks import ParallelWalkEngine
 
 __all__ = [
-    "ParallelWalkEngine",
     "SharedParams",
     "fit_data_parallel",
     "hogwild_train_corpus",
-    "shard_ranges",
     "shard_rng",
     "shard_seed_seq",
     "spawn_pool",

@@ -1,7 +1,7 @@
 """Synchronous data-parallel EHNA training.
 
 One training step is split into ``config.parallel_shards`` shards of the
-edge batch.  Every shard runs the full fused step math — temporal walks,
+edge batch.  Every shard runs the model's own step body — temporal walks,
 two-level aggregation, margin loss, backward — on its own RNG substream
 (``SeedSequence(entropy=(step_seed, shard_idx))``), producing a gradient
 contribution, a per-shard loss, and a log of its batch-norm statistics.
@@ -55,55 +55,19 @@ def _make_flat_adam(model, flat: FlatParams) -> FlatAdam:
 def _shard_step(model, edge_ids: np.ndarray, step_seed: int, shard_idx: int) -> dict:
     """One shard's forward/backward; leaves the model's state untouched.
 
-    Mirrors ``EHNA._train_batch_one_pass`` with an explicit per-shard RNG
-    instead of the model stream.  Batch-norm running statistics are
-    snapshotted and restored around the forward — the shard only *logs*
-    its batch statistics (via ``BatchNorm1d.stats_log``) for the leader to
-    replay, so inline and pooled execution leave identical leader state.
+    Runs ``EHNA._batch_loss`` — the single-process step body — on the
+    shard's RNG substream instead of the model stream.  Batch-norm running
+    statistics are snapshotted and restored around the forward — the shard
+    only *logs* its batch statistics (via ``BatchNorm1d.stats_log``) for the
+    leader to replay, so inline and pooled execution leave identical leader
+    state.
     """
-    cfg = model.config
-    graph = model.graph
-    rng = shard_rng(step_seed, shard_idx)
-    edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    xs = graph.src[edge_ids]
-    ys = graph.dst[edge_ids]
-    ts = graph.time[edge_ids]
-    b = edge_ids.size
-    q = cfg.num_negatives
-
-    neg_x = model.sampler.sample((b, q), rng, exclude_x=xs, exclude_y=ys)
-    neg_y = (
-        model.sampler.sample((b, q), rng, exclude_x=xs, exclude_y=ys)
-        if cfg.bidirectional
-        else None
-    )
-    neg_t = np.repeat(ts, q)
-    targets = [xs, ys, neg_x.ravel()]
-    anchor = [ts, ts, neg_t]
-    if neg_y is not None:
-        targets.append(neg_y.ravel())
-        anchor.append(neg_t)
-
     bns = model._batch_norms()
     saved = [(bn.running_mean, bn.running_var) for bn in bns]
     for bn in bns:
         bn.stats_log = []
     try:
-        z = model._grouped_aggregate(
-            np.concatenate(targets), np.concatenate(anchor), rng=rng
-        )
-        z_x, z_y = z[0:b], z[b : 2 * b]
-        zn_x = z[2 * b : 2 * b + b * q].reshape((b, q, cfg.dim))
-        zn_y = (
-            z[2 * b + b * q : 2 * b + 2 * b * q].reshape((b, q, cfg.dim))
-            if neg_y is not None
-            else None
-        )
-        from repro.core.loss import margin_hinge_loss
-
-        loss = margin_hinge_loss(
-            z_x, z_y, zn_x, cfg.margin, neg_y=zn_y, metric=cfg.objective
-        )
+        loss = model._batch_loss(edge_ids, rng=shard_rng(step_seed, shard_idx))
         model.embedding.zero_grad()
         model.aggregator.zero_grad()
         loss.backward()
@@ -128,7 +92,7 @@ def _shard_step(model, edge_ids: np.ndarray, step_seed: int, shard_idx: int) -> 
         "net": net,
         "bn": logs,
         "loss": float(loss.item()),
-        "count": int(b),
+        "count": int(edge_ids.size),
     }
 
 

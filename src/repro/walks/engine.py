@@ -25,11 +25,11 @@ RNG stream draw-for-draw like the per-node reference implementations
 identical* under the same seed.  ``tests/walks/test_engine.py`` pins this
 property for all four walk families.
 
-**Walk cache.** An LRU cache keyed by ``(kind, node, time-bucket, …)``
-optionally memoizes whole walk sets so repeated ``fit()`` epochs (which replay
-the same target edges) and the uniform fallback sampler reuse work instead of
-resampling.  ``time_buckets=0`` keys on exact anchor times — reuse then never
-mixes neighborhoods across anchors, which keeps the historical constraint of
+**Walk cache.** An LRU cache keyed by ``(kind, node, anchor, …)`` optionally
+memoizes whole walk sets so repeated ``fit()`` epochs (which replay the same
+target edges) and the uniform fallback sampler reuse work instead of
+resampling.  Keys carry the exact anchor time — reuse never mixes
+neighborhoods across anchors, which keeps the historical constraint of
 Definition 2 intact.
 
 **Array-native batching.** ``temporal_walk_batch`` / ``uniform_walk_batch``
@@ -131,11 +131,6 @@ class BatchedWalkEngine:
         about half the reference mode's bytes.  Timestamps and sampling
         weights always stay ``float64`` internally: walk *selection* is
         precision-independent, only the emitted batch narrows.
-    time_buckets:
-        Resolution of the cache key's time component.  0 keys on the exact
-        anchor timestamp (reuse only across identical anchors — always safe);
-        ``k > 0`` quantizes anchors into ``k`` buckets on the [0, 1] scale,
-        trading temporal fidelity for more hits.
     candidate_cap:
         Cap on a node's per-hop candidate set in the temporal family; 0
         (default) keeps the exact, uncapped behavior bitwise-unchanged.
@@ -162,7 +157,6 @@ class BatchedWalkEngine:
         q: float = 1.0,
         decay: float = 1.0,
         cache_size: int = 0,
-        time_buckets: int = 0,
         real_dtype=np.float64,
         candidate_cap: int = 0,
     ) -> None:
@@ -170,7 +164,6 @@ class BatchedWalkEngine:
         check_positive("q", q)
         check_non_negative("decay", decay)
         check_non_negative("cache_size", cache_size)
-        check_non_negative("time_buckets", time_buckets)
         check_non_negative("candidate_cap", candidate_cap)
         self.graph = graph
         self._real = np.dtype(real_dtype)
@@ -198,7 +191,6 @@ class BatchedWalkEngine:
         self._first_tables: PackedAliasTables | None = None
         self._pair_cache: dict = {}
         self.cache = WalkCache(cache_size) if cache_size > 0 else None
-        self.time_buckets = int(time_buckets)
 
     # ------------------------------------------------------------------
     # vectorized binary searches over the flat CSR arrays
@@ -652,11 +644,6 @@ class BatchedWalkEngine:
     # ------------------------------------------------------------------
     # cache-aware walk-set APIs (what EHNA.fit calls)
     # ------------------------------------------------------------------
-    def _time_key(self, t: float):
-        if self.time_buckets <= 0:
-            return float(t)
-        return int(self.graph.scale_time(float(t)) * self.time_buckets)
-
     def temporal_walk_sets(
         self,
         nodes,
@@ -685,7 +672,7 @@ class BatchedWalkEngine:
         miss = []
         if cached:
             keys = [
-                ("temporal", int(v), self._time_key(t), num_walks, length, include_context)
+                ("temporal", int(v), float(t), num_walks, length, include_context)
                 for v, t in zip(nodes, anchors)
             ]
             for i, key in enumerate(keys):

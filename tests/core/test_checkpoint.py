@@ -109,6 +109,57 @@ class TestEHNARoundtrip:
             LINE.load(path)
 
 
+class TestRetiredConfigKeys:
+    """Archives written before ``one_pass``, ``fused_kernels``,
+    ``dedup_aggregations`` and ``walk_time_buckets`` left ``EHNAConfig``
+    still carry them (OnlineService checkpoints included)."""
+
+    RETIRED = dict(
+        one_pass=True, fused_kernels=True, dedup_aggregations=False,
+        walk_time_buckets=0,
+    )
+
+    def _rewrite(self, fitted, tmp_path, **config_changes):
+        """Re-save ``fitted``'s archive with its config dict edited."""
+        ck = load_checkpoint(fitted.save(tmp_path / "m.npz"))
+        return save_checkpoint(
+            tmp_path / "old.npz",
+            ck.class_name,
+            {**ck.config, **config_changes},
+            ck.arrays,
+            ck.meta,
+            precision=ck.precision,
+        )
+
+    def test_surviving_values_load_and_serve_bitwise(
+        self, fitted_ehna, graph, tmp_path
+    ):
+        path = self._rewrite(fitted_ehna, tmp_path, **self.RETIRED)
+        loaded = EmbeddingMethod.load(path)
+        assert loaded.config == fitted_ehna.config
+        np.testing.assert_array_equal(loaded.embeddings(), fitted_ehna.embeddings())
+        nodes = np.arange(graph.num_nodes)
+        t = 0.5 * graph.time_span[1]
+        np.testing.assert_array_equal(
+            loaded.encode(nodes, at=t), fitted_ehna.encode(nodes, at=t)
+        )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("one_pass", False), ("fused_kernels", False),
+         ("dedup_aggregations", True), ("walk_time_buckets", 4)],
+    )
+    def test_other_values_are_refused(self, fitted_ehna, tmp_path, key, value):
+        path = self._rewrite(fitted_ehna, tmp_path, **{key: value})
+        with pytest.raises(CheckpointError, match=key):
+            EHNA.load(path)
+
+    def test_unknown_key_is_refused(self, fitted_ehna, tmp_path):
+        path = self._rewrite(fitted_ehna, tmp_path, no_such_knob=1)
+        with pytest.raises(CheckpointError, match="no_such_knob"):
+            EHNA.load(path)
+
+
 class TestBaselineRoundtrips:
     @pytest.mark.parametrize("cls,kw", [
         (Node2Vec, dict(num_walks=2, walk_length=6, epochs=1)),

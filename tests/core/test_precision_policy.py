@@ -1,11 +1,12 @@
 """The precision policy at the model layer.
 
 The float64 default is pinned bitwise by the existing legacy-equivalence,
-fused-kernel and walk-engine suites; these tests validate the *fast* mode:
-config validation, float32 training end to end, loss-trajectory agreement
-with the reference mode within the policy's documented bound, float32
-walk-batch narrowing, checkpoint precision roundtrips and the documented
-mismatch errors, and policy propagation through every baseline."""
+fused-pipeline (golden pin) and walk-engine suites; these tests validate
+the *fast* mode: config validation, float32 training end to end,
+loss-trajectory agreement with the reference mode within the policy's
+documented bound, float32 walk-batch narrowing, checkpoint precision
+roundtrips and the documented mismatch errors, and policy propagation
+through every baseline."""
 
 from __future__ import annotations
 
@@ -89,14 +90,6 @@ class TestFloat32Training:
         assert model.embedding.weight.dtype == np.float32
         assert model.embeddings().dtype == np.float32
         assert model.embeddings().shape[0] == n + 1
-
-    def test_reference_and_fused_paths_share_float32_dtype(self, graph):
-        """The non-fused (Walk-object) path narrows too, so ablations run
-        under the same policy as the fast path."""
-        model = EHNA(
-            precision="float32", fused_kernels=False, one_pass=False, **FAST
-        ).fit(graph)
-        assert model.embeddings().dtype == np.float32
 
 
 class TestWalkBatchNarrowing:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import EHNA
 from repro.graph.temporal_graph import TemporalGraph
+from repro.parallel import shard_rng, shard_seed_seq
 
 CFG = dict(
     dim=8,
@@ -37,6 +38,16 @@ def graph():
     return TemporalGraph.from_edges(
         src[keep], dst[keep], rng.uniform(0.0, 10.0, int(keep.sum()))
     )
+
+
+class TestShardingPrimitives:
+    def test_shard_rng_substreams_are_stable_and_distinct(self):
+        a = shard_rng(123, 0).integers(0, 2**31, size=8)
+        b = shard_rng(123, 0).integers(0, 2**31, size=8)
+        c = shard_rng(123, 1).integers(0, 2**31, size=8)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert shard_seed_seq(123, 1).entropy == (123, 1)
 
 
 class TestInlineShardedPath:

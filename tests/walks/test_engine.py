@@ -261,24 +261,13 @@ class TestWalkCache:
         assert rng.random() == untouched.random()
 
     def test_different_anchor_misses_with_exact_keys(self, graph):
-        engine = BatchedWalkEngine(graph, cache_size=64, time_buckets=0)
+        engine = BatchedWalkEngine(graph, cache_size=64)
         lo, hi = graph.time_span
         nodes = np.arange(4)
         rng = np.random.default_rng(0)
         engine.temporal_walk_sets(nodes, np.full(4, hi), 2, 4, rng)
         engine.temporal_walk_sets(nodes, np.full(4, hi - (hi - lo) / 1e6), 2, 4, rng)
         assert engine.cache.hits == 0
-
-    def test_time_buckets_coarsen_keys(self, graph):
-        engine = BatchedWalkEngine(graph, cache_size=64, time_buckets=4)
-        lo, hi = graph.time_span
-        span = hi - lo
-        nodes = np.arange(4)
-        rng = np.random.default_rng(0)
-        # 0.50 and 0.55 land in the same of 4 buckets on the [0, 1] scale.
-        engine.temporal_walk_sets(nodes, np.full(4, lo + 0.50 * span), 2, 4, rng)
-        engine.temporal_walk_sets(nodes, np.full(4, lo + 0.55 * span), 2, 4, rng)
-        assert engine.cache.hits == 4
 
     def test_cache_results_match_uncached(self, graph):
         """A cold cached engine must produce exactly the uncached walks."""
