@@ -253,12 +253,17 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
     """Masked multi-layer LSTM as **one** autograd node.
 
     Forward runs the full recurrence in a plain numpy loop (per-step matmuls
-    in the same order as :meth:`LSTM.step`, so outputs match the stepwise
-    reference bit for bit) while recording the gate activations and carried
-    states; backward is a hand-derived backpropagation-through-time sweep —
-    layers top-down, timesteps in reverse — that accumulates gradients for
-    the input and every weight in a handful of array ops per step instead of
-    a long chain of per-op closures.
+    in the same order as :meth:`LSTM.step`) while recording the gate
+    activations and carried states.  Each step's gate block costs one
+    ``tanh``: the i/f/o columns of ``w_ih``, ``w_hh`` and ``bias`` are
+    pre-scaled by 0.5 once per call — exact, being a power of two — so the
+    GEMMs yield ``0.5·z`` there, and ``sigmoid(z) = 0.5·(tanh(0.5·z) + 1)``
+    finishes with two per-column ops.  That is :meth:`Tensor.sigmoid`'s op
+    sequence, so the output matches the stepwise reference bit for bit.
+    Backward is a hand-derived backpropagation-through-time sweep — layers
+    top-down, timesteps in reverse — that builds each step's gate
+    derivatives in scratch buffers and accumulates gradients for the input
+    and every weight in a handful of array ops per step.
 
     Parameters
     ----------
@@ -268,8 +273,10 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
         The :class:`LSTM` layers, applied bottom to top; layer ``l``'s
         per-step *carried* outputs feed layer ``l + 1``.
     mask:
-        Optional ``(B, T)`` 0/1 array; masked steps carry ``(h, c)`` through
-        unchanged in every layer, exactly like the stepwise path.
+        Optional ``(B, T)`` array of 0s and 1s (anything else raises
+        ``ValueError``); masked steps carry ``(h, c)`` through unchanged in
+        every layer, exactly like the stepwise path.  An all-ones mask takes
+        the unmasked path, since the carry blend is then the identity.
 
     Returns the final carried hidden state of the top layer, ``(B, H)``.
     """
@@ -277,15 +284,28 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
         raise ValueError(f"fused LSTM expects (B, T, D) input, got {x.shape}")
     batch, steps, _ = x.shape
     real = x.data.dtype  # the policy dtype threads through every buffer
+    m_col = m_inv = None
     if mask is not None:
         mask = np.asarray(mask, dtype=real)
         if mask.shape != (batch, steps):
             raise ValueError(
                 f"mask shape {mask.shape} must be (B, T) = {(batch, steps)}"
             )
+        valid = mask == 1
+        if not (valid | (mask == 0)).all():
+            raise ValueError("mask entries must be 0 or 1")
+        if not valid.all():
+            m_col = np.ascontiguousarray(mask.T).reshape(steps, batch, 1)
+            m_inv = 1.0 - m_col
 
     hs = layers[0].hidden_size
     n_layers = len(layers)
+    # Per-column gate finish: sigmoid = (tanh(0.5·z) + 1)·0.5 on i/f/o,
+    # plain tanh on g.  ``scale`` also pre-scales the weights.
+    scale = np.full(4 * hs, 0.5, dtype=real)
+    scale[2 * hs : 3 * hs] = 1.0
+    offs = np.ones(4 * hs, dtype=real)
+    offs[2 * hs : 3 * hs] = 0.0
     # Per-layer forward tapes for the backward sweep.
     tape_x: list[np.ndarray] = []  # (T, B, D_l) inputs of each layer
     tape_gates: list[np.ndarray] = []  # (T, B, 4H) post-nonlinearity gates
@@ -293,15 +313,11 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
     tape_carry_h: list[np.ndarray] = []  # (T, B, H) carried hidden states
     tape_carry_c: list[np.ndarray] = []  # (T, B, H) carried cell states
 
-    if mask is None:
-        m_col = m_inv = None
-    else:
-        m_col = np.ascontiguousarray(mask.T).reshape(steps, batch, 1)
-        m_inv = 1.0 - m_col
-
     inp = np.ascontiguousarray(np.swapaxes(x.data, 0, 1))  # (T, B, D)
     for layer in layers:
-        w_ih, w_hh, bias = layer.w_ih.data, layer.w_hh.data, layer.bias.data
+        w_ih = layer.w_ih.data * scale
+        w_hh = layer.w_hh.data * scale
+        bias = layer.bias.data * scale
         gates = np.empty((steps, batch, 4 * hs), dtype=real)
         tc_seq = np.empty((steps, batch, hs), dtype=real)
         h_seq = np.empty((steps, batch, hs), dtype=real)
@@ -310,13 +326,12 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
         c = np.zeros((batch, hs), dtype=real)
         for t in range(steps):
             # Same association order as LSTM.step: (x@Wih + h@Whh) + bias.
-            z = inp[t] @ w_ih
-            z += h @ w_hh
-            z += bias
-            gz = gates[t]
-            _sigmoid(z[:, : 2 * hs], out=gz[:, : 2 * hs])  # i, f
-            _sigmoid(z[:, 3 * hs :], out=gz[:, 3 * hs :])  # o
-            np.tanh(z[:, 2 * hs : 3 * hs], out=gz[:, 2 * hs : 3 * hs])
+            gz = np.matmul(inp[t], w_ih, out=gates[t])
+            gz += h @ w_hh
+            gz += bias
+            np.tanh(gz, out=gz)
+            gz += offs
+            gz *= scale
             i = gz[:, 0:hs]
             f = gz[:, hs : 2 * hs]
             g = gz[:, 2 * hs : 3 * hs]
@@ -359,18 +374,6 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
             h_seq = tape_carry_h[li]
             c_seq = tape_carry_c[li]
             xs = tape_x[li]
-            # One vectorized pass over the whole tape for the gate-derivative
-            # factors; the trailing multiplication order per step is unchanged
-            # (same rounding as the stepwise reference).
-            gi = gates[:, :, 0:hs]
-            gf = gates[:, :, hs : 2 * hs]
-            ggg = gates[:, :, 2 * hs : 3 * hs]
-            go = gates[:, :, 3 * hs : 4 * hs]
-            om_i = 1.0 - gi
-            om_f = 1.0 - gf
-            om_g2 = 1.0 - ggg * ggg
-            om_o = 1.0 - go
-            om_tc2 = 1.0 - tc_seq * tc_seq
             d_in = np.empty_like(xs)
             d_w_ih = np.zeros_like(w_ih) if layer.w_ih.requires_grad else None
             d_w_hh = np.zeros_like(w_hh) if layer.w_hh.requires_grad else None
@@ -380,15 +383,16 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
             dh = np.zeros((batch, hs), dtype=real)  # recurrent grad on carried h_t
             dc = np.zeros((batch, hs), dtype=real)  # recurrent grad on carried c_t
             # Scratch buffers reused across steps; every slot is fully
-            # rewritten before it is read in each iteration.  All in-place
-            # chains keep the reference's left-to-right association.
-            dz = np.empty((batch, 4 * hs), dtype=real)
+            # rewritten before it is read in each iteration.
+            dz = np.empty((batch, 4 * hs), dtype=real)  # grad on pre-activations
+            deriv = np.empty((batch, 4 * hs), dtype=real)  # gate derivatives
+            d_g = deriv[:, 2 * hs : 3 * hs]
+            b_tc2 = np.empty((batch, hs), dtype=real)  # 1 - tanh(c)^2
+            b_tmp = np.empty((batch, hs), dtype=real)
             b_hnew = np.empty((batch, hs), dtype=real)
             b_hskip = np.empty((batch, hs), dtype=real)
             b_cnew = np.empty((batch, hs), dtype=real)
             b_cskip = np.empty((batch, hs), dtype=real)
-            b_do = np.empty((batch, hs), dtype=real)
-            b_tmp = np.empty((batch, hs), dtype=real)
             for t in range(steps - 1, -1, -1):
                 if d_out is not None:
                     dh_total = dh + d_out[t]
@@ -403,34 +407,36 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
                     np.multiply(m_inv[t], dc, out=b_cskip)
                 else:
                     dh_new = dh_total
-                    np.copyto(b_cnew, dc)
-                    dc_new = b_cnew
-                i = gi[t]
-                f = gf[t]
-                gg = ggg[t]
-                o = go[t]
-                do = np.multiply(dh_new, tc_seq[t], out=b_do)
-                # dc_new += ((dh_new * o) * om_tc2), left to right
+                    dc_new = dc  # dc is rewritten only after its last read
+                gz = gates[t]
+                i = gz[:, 0:hs]
+                f = gz[:, hs : 2 * hs]
+                g = gz[:, 2 * hs : 3 * hs]
+                o = gz[:, 3 * hs : 4 * hs]
+                tc = tc_seq[t]
+                # sigmoid' = (1 - s)·s on i/f/o; tanh' = 1 - g^2 on g.
+                np.subtract(1.0, gz, out=deriv)
+                deriv *= gz
+                np.multiply(g, g, out=d_g)
+                np.subtract(1.0, d_g, out=d_g)
+                np.multiply(tc, tc, out=b_tc2)
+                np.subtract(1.0, b_tc2, out=b_tc2)
+                # dc_new += (dh_new * o) * (1 - tc^2)
                 np.multiply(dh_new, o, out=b_tmp)
-                b_tmp *= om_tc2[t]
+                b_tmp *= b_tc2
                 dc_new += b_tmp
+                # Raw gate gradients, then one multiply by the derivatives.
                 c_prev = c_seq[t - 1] if t > 0 else 0.0
-                h_prev = h_seq[t - 1] if t > 0 else None
-                np.multiply(dc_new, gg, out=b_tmp)
-                b_tmp *= i
-                np.multiply(b_tmp, om_i[t], out=dz[:, 0:hs])
-                np.multiply(dc_new, c_prev, out=b_tmp)
-                b_tmp *= f
-                np.multiply(b_tmp, om_f[t], out=dz[:, hs : 2 * hs])
-                np.multiply(dc_new, i, out=b_tmp)
-                np.multiply(b_tmp, om_g2[t], out=dz[:, 2 * hs : 3 * hs])
-                np.multiply(do, o, out=b_tmp)
-                np.multiply(b_tmp, om_o[t], out=dz[:, 3 * hs : 4 * hs])
+                np.multiply(dc_new, g, out=dz[:, 0:hs])
+                np.multiply(dc_new, c_prev, out=dz[:, hs : 2 * hs])
+                np.multiply(dc_new, i, out=dz[:, 2 * hs : 3 * hs])
+                np.multiply(dh_new, tc, out=dz[:, 3 * hs : 4 * hs])
+                dz *= deriv
                 np.matmul(dz, w_ih.T, out=d_in[t])
                 if d_w_ih is not None:
                     d_w_ih += xs[t].T @ dz
-                if d_w_hh is not None and h_prev is not None:
-                    d_w_hh += h_prev.T @ dz
+                if d_w_hh is not None and t > 0:
+                    d_w_hh += h_seq[t - 1].T @ dz
                 if d_bias is not None:
                     d_bias += dz.sum(axis=0)
                 np.matmul(dz, w_hh.T, out=dh)
@@ -452,26 +458,6 @@ def fused_stacked_lstm(x: Tensor, layers: list[LSTM], mask: np.ndarray | None = 
     for layer in layers:
         parents.extend([layer.w_ih, layer.w_hh, layer.bias])
     return apply_op(final, parents, backward)
-
-
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable logistic, branchless.
-
-    Bitwise-identical to :meth:`Tensor.sigmoid` (which splits on sign with
-    boolean indexing): with ``e = exp(-|x|)``, the positive branch
-    ``1 / (1 + exp(-x))`` and the negative branch ``exp(x) / (1 + exp(x))``
-    are both exactly ``select(x >= 0, 1/(1+e), e/(1+e))`` — same exponent
-    argument, same division — but evaluated without gather/scatter copies.
-    """
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    num = np.where(x >= 0, 1.0, e)
-    e += 1.0  # e becomes the shared denominator
-    if out is None:
-        return np.divide(num, e)
-    np.divide(num, e, out=out)
-    return out
 
 
 class BatchNorm1d(Module):

@@ -361,13 +361,16 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        """Elementwise logistic sigmoid (numerically stable)."""
-        x = self.data
-        out_data = np.empty_like(x)
-        pos = x >= 0
-        out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out_data[~pos] = ex / (1.0 + ex)
+        """Elementwise logistic sigmoid as ``0.5·(tanh(0.5·x) + 1)``.
+
+        One ``tanh`` and no ``exp``, so it cannot overflow at any input.
+        The op sequence (``·0.5 → tanh → +1 → ·0.5``) is the one
+        :func:`repro.nn.layers.fused_stacked_lstm` runs over its gate block,
+        which keeps the fused kernel bitwise equal to the stepwise LSTM.
+        """
+        out_data = np.tanh(self.data * 0.5)
+        out_data += 1.0
+        out_data *= 0.5
 
         def backward(g):
             if self.requires_grad:

@@ -55,6 +55,10 @@ CASES = [
     (1, 6, 4, 4, 2, True),  # single row: the encode(one node) shape
     (4, 1, 3, 3, 1, True),  # single step
     (5, 4, 2, 8, 2, False),  # input size != hidden size
+    # Production shapes: hidden size 32, as an EHNA fit runs the kernel.
+    (64, 7, 32, 32, 2, True),  # prefix-masked node-level sequences
+    (64, 4, 32, 32, 2, False),  # walk-level summaries, never masked
+    (1, 7, 32, 32, 2, True),  # encode(one node)
 ]
 
 
@@ -68,9 +72,10 @@ class TestFusedMatchesStepwise:
 
     @pytest.mark.parametrize("case", CASES)
     def test_backward_agreement(self, case):
-        """Input and weight gradients agree far below 1e-10 (in practice
-        they are value-equal: the fused backward replays the reference's
-        per-step accumulation order)."""
+        """Input and weight gradients agree far below 1e-10.  They are not
+        bitwise equal: the fused backward multiplies each step's raw gate
+        gradients by the gate derivatives in one pass, which associates
+        the products differently from the stepwise graph."""
         lstm, x, mask, up = _random_case(1, *case)
         _, g_ref = _run_stepwise(lstm, x, mask, up)
         _, g_fus = _run_fused(lstm, x, mask, up)
@@ -85,6 +90,16 @@ class TestFusedMatchesStepwise:
         h_full, _ = _run_fused(lstm, x, mask, up)
         h_trim, _ = _run_fused(lstm, x[:, :4, :], mask[:, :4], up)
         np.testing.assert_array_equal(h_full, h_trim)
+
+    def test_all_ones_mask_equals_no_mask(self):
+        """An all-valid mask takes the unmasked path: bitwise the same
+        output and gradients as ``mask=None``."""
+        lstm, x, _, up = _random_case(4, 64, 7, 32, 32, 2, False)
+        h_none, g_none = _run_fused(lstm, x, None, up)
+        h_ones, g_ones = _run_fused(lstm, x, np.ones((64, 7)), up)
+        np.testing.assert_array_equal(h_none, h_ones)
+        for a, b in zip(g_none, g_ones):
+            np.testing.assert_array_equal(a, b)
 
     def test_stacked_fused_method(self):
         """StackedLSTM.fused is the documented front door to the kernel."""
@@ -139,3 +154,14 @@ class TestFusedValidation:
             fused_stacked_lstm(
                 Tensor(np.zeros((2, 4, 3))), [lstm], mask=np.ones((4, 2))
             )
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
+    def test_rejects_non_binary_mask(self, value):
+        """A fractional mask would blend states; any value but 0 or 1 is
+        refused rather than read as valid."""
+        lstm = LSTM(3, 3, rng=0)
+        mask = np.ones((2, 4))
+        mask[1, 2] = value
+        with pytest.raises(ValueError, match="0 or 1"):
+            fused_stacked_lstm(Tensor(np.zeros((2, 4, 3))), [lstm], mask=mask)
+

@@ -158,6 +158,19 @@ class TestFloat32Layers:
         assert fused.dtype == np.float32 and ref.dtype == np.float32
         np.testing.assert_allclose(fused.data, ref.data, rtol=1e-5, atol=1e-6)
 
+    def test_fused_matches_stepwise_in_float32_production_shape(self):
+        """Hidden size 32, a prefix mask: the shape an EHNA fit sends."""
+        rng = np.random.default_rng(5)
+        lstm = StackedLSTM(32, 32, 2, rng=rng, dtype=np.float32)
+        x_data = rng.standard_normal((64, 7, 32)).astype(np.float32)
+        lengths = rng.integers(1, 8, size=64)
+        mask = (np.arange(7) < lengths[:, None]).astype(np.float32)
+        fused = lstm.fused(Tensor(x_data), mask=mask)
+        steps = [Tensor(x_data[:, t]) for t in range(7)]
+        _, ref = lstm(steps, mask=mask.T)
+        assert fused.dtype == np.float32
+        np.testing.assert_allclose(fused.data, ref.data, rtol=1e-5, atol=1e-6)
+
     def test_optimizers_keep_float32_state(self):
         rng = np.random.default_rng(4)
         lin = Linear(4, 2, rng=rng, dtype=np.float32)

@@ -47,6 +47,20 @@ class TestForwardValues:
         out = t([-800.0, 0.0, 800.0]).sigmoid().data
         np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_matches_expit_oracle(self, dtype):
+        """The tanh form of the sigmoid stays within one ulp of 1.0 of
+        ``scipy.special.expit`` over the whole range, without overflow."""
+        expit = pytest.importorskip("scipy.special").expit
+        grid = np.concatenate(
+            [np.linspace(-800.0, 800.0, 200_001), [-np.inf, np.inf]]
+        ).astype(dtype)
+        with np.errstate(all="raise"):
+            out = Tensor(grid).sigmoid().data
+        assert out.dtype == dtype
+        deviation = np.abs(out.astype(np.float64) - expit(grid).astype(np.float64))
+        assert deviation.max() <= np.finfo(dtype).eps
+
     def test_reshape_and_transpose(self):
         x = t(np.arange(6.0))
         assert x.reshape(2, 3).shape == (2, 3)
